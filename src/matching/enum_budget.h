@@ -11,11 +11,11 @@ namespace rlqvo {
 /// \brief Global per-query enumeration budget, shared by every subtask of
 /// one enumeration run.
 ///
-/// A parallel enumeration (Enumerator::RunParallel) splits the search tree
-/// into root-candidate chunks that run concurrently, but `match_limit` and
-/// `time_limit_seconds` are *per-query* semantics: the paper caps each query
-/// at 1e5 matches and 500 s total (Sec IV-A), not each chunk. An EnumBudget
-/// is the single object those limits live in:
+/// A parallel enumeration (Enumerator::RunParallel) runs the search tree as
+/// work-stealing segments ("chunks" below) on several workers, but
+/// `match_limit` and `time_limit_seconds` are *per-query* semantics: the
+/// paper caps each query at 1e5 matches and 500 s total (Sec IV-A), not
+/// each chunk. An EnumBudget is the single object those limits live in:
 ///
 /// - **Match budget.** Every emission first claims a slot via
 ///   TryClaimMatch(). The claim is a capped atomic increment, so the total
@@ -27,10 +27,11 @@ namespace rlqvo {
 /// - **Deadline.** One shared Deadline (wall clock) read by every chunk.
 ///   Deadline is immutable after construction, so concurrent Expired() calls
 ///   are safe.
-/// - **Stop broadcast.** The first chunk to exhaust the budget or observe
-///   deadline expiry raises `stop`, which other chunks poll at their
-///   work-quantum checkpoints so they unwind promptly instead of burning
-///   their own quantum rediscovering the deadline.
+/// - **Stop broadcast.** The claim that takes the last match slot, or the
+///   first chunk to observe deadline expiry, raises `stop`, which other
+///   chunks poll at their work-quantum checkpoints so they unwind promptly
+///   — a chunk in a match-free subtree never claims, so it learns of the
+///   exhausted budget only from this flag.
 ///
 /// `match_limit == 0` means unlimited (the paper's "ALL" setting, Fig 11):
 /// TryClaimMatch always succeeds and LimitReached is always false.
@@ -63,8 +64,11 @@ class EnumBudget {
   EnumBudget& operator=(const EnumBudget&) = delete;
 
   /// Claims one emission slot. Returns false once the global limit is
-  /// exhausted (and raises the stop flag); always true when unlimited.
-  /// A caller must only emit a match for which the claim succeeded.
+  /// exhausted; always true when unlimited. The claim that takes the last
+  /// slot raises the stop flag, as does every failed claim, so workers in
+  /// match-free subtrees unwind at their next checkpoint instead of
+  /// searching on until the deadline. A caller must only emit a match for
+  /// which the claim succeeded.
   bool TryClaimMatch() {
     if (limit_ == 0) return true;
     // Relaxed CAS loop: the counter is the entire shared state. The CAS's
@@ -75,6 +79,7 @@ class EnumBudget {
     while (current < limit_) {
       if (claimed_.compare_exchange_weak(current, current + 1,
                                          std::memory_order_relaxed)) {
+        if (current + 1 == limit_) RequestStop();
         return true;
       }
     }
@@ -90,8 +95,9 @@ class EnumBudget {
 
   const Deadline& deadline() const { return *deadline_; }
 
-  /// Raised by the first subtask that hits the match limit or observes
-  /// deadline expiry; polled by the others at work-quantum checkpoints.
+  /// Raised by the claim that takes the last match slot, or by the first
+  /// subtask that observes deadline expiry; polled by the others at
+  /// work-quantum checkpoints.
   /// Relaxed on both sides: the flag carries no payload, and a stale read
   /// only delays a chunk's unwind by one work quantum (see the class
   /// comment's memory-order protocol).

@@ -2,12 +2,11 @@
 //
 // Every kernel computes the same sums in the same order as the forward of
 // the corresponding autograd op, so at every row the caller reads an
-// inference forward is numerically identical to an eval-mode autograd
-// forward — the equivalence tests in tests/nn_inference_test.cc assert this
-// at 1e-9 but the construction gives exact equality. One serving-only
-// shortcut keeps the math smaller than training-grade code (see
-// nn/inference.h): optional output-row restriction, used to evaluate the
-// network's last layers only on the action space. No kernel allocates: all
+// inference forward is bit-identical to an eval-mode autograd forward — the
+// equivalence tests in tests/nn_inference_test.cc assert exact equality.
+// One serving-only shortcut keeps the math smaller than training-grade code
+// (see nn/inference.h): optional output-row restriction, used to evaluate
+// every layer only on its receptive field. No kernel allocates: all
 // outputs and intermediates are caller-owned InferenceWorkspace buffers.
 #include "nn/inference.h"
 
@@ -31,49 +30,72 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
   RLQVO_CHECK_EQ(a.cols(), b.rows());
   RLQVO_DCHECK_EQ(out->rows(), a.rows());
   RLQVO_DCHECK_EQ(out->cols(), b.cols());
-  // Same i-k-j accumulation order (and zero test) as the autograd MatMul,
-  // so the result is bit-identical at every active row. The zero test sits
-  // outside the branchless inner j-loop: it skips whole rhs rows at
-  // non-edges of propagation matrices and at post-ReLU zeros, while the
-  // inner loop stays vectorizable.
+  // Register-blocked: a block of kBlock output columns lives in locals for
+  // the whole k loop, so each output element is loaded and stored once
+  // instead of once per nonzero a(i, k). Every element still sees the
+  // autograd MatMul's exact operation sequence — out(i, j) += a(i, k) *
+  // b(k, j) for ascending k, skipping a(i, k) == 0 — so the result is
+  // bit-identical at every active row. Nothing fuses the multiply and add
+  // into an FMA: GCC's ISO C++ mode (CMAKE_CXX_EXTENSIONS OFF) sets
+  // -ffp-contract=off, and the baseline x86-64 target has no FMA. The zero
+  // test skips whole rhs rows at non-edges of propagation matrices and at
+  // post-ReLU zeros.
+  constexpr size_t kBlock = 16;
   const size_t inner = a.cols();
   const size_t cols = b.cols();
+  const double* __restrict b_data = b.data();
   for (size_t i = 0; i < a.rows(); ++i) {
     if (!RowActive(out_rows, i)) continue;
-    // restrict: a, b and out are always distinct matrices here, which lets
-    // the compiler vectorize the inner loop without alias checks.
+    // restrict: a, b and out are always distinct matrices here.
     double* __restrict out_row = out->data() + i * cols;
     const double* __restrict a_row = a.data() + i * inner;
+    size_t j0 = 0;
+    for (; j0 + kBlock <= cols; j0 += kBlock) {
+      double acc[kBlock] = {};
+      for (size_t t = 0; t < kBlock; ++t) acc[t] = out_row[j0 + t];
+      for (size_t k = 0; k < inner; ++k) {
+        const double aik = a_row[k];
+        if (aik == 0.0) continue;
+        const double* __restrict b_row = b_data + k * cols + j0;
+        for (size_t t = 0; t < kBlock; ++t) acc[t] += aik * b_row[t];
+      }
+      for (size_t t = 0; t < kBlock; ++t) out_row[j0 + t] = acc[t];
+    }
+    // Leftover columns (fewer than kBlock): the same rule in one pass over
+    // k, accumulating in place. One pass rather than one per column keeps
+    // the zero test — a mispredicting branch on propagation matrices — at
+    // one per coefficient on the narrow feature input.
+    if (j0 == cols) continue;
     for (size_t k = 0; k < inner; ++k) {
       const double aik = a_row[k];
       if (aik == 0.0) continue;
-      const double* __restrict b_row = b.data() + k * cols;
-      for (size_t j = 0; j < cols; ++j) {
-        out_row[j] += aik * b_row[j];
-      }
+      const double* __restrict b_row = b_data + k * cols;
+      for (size_t j = j0; j < cols; ++j) out_row[j] += aik * b_row[j];
     }
   }
 }
 
-void AddRowBroadcastInPlace(Matrix* x, const Matrix& bias) {
+void AddRowBroadcastInPlace(Matrix* x, const Matrix& bias,
+                            const std::vector<bool>* rows) {
   RLQVO_CHECK_EQ(bias.rows(), 1u);
   RLQVO_CHECK_EQ(bias.cols(), x->cols());
+  const size_t cols = x->cols();
+  const double* __restrict b = bias.data();
   for (size_t r = 0; r < x->rows(); ++r) {
-    for (size_t c = 0; c < x->cols(); ++c) {
-      x->At(r, c) += bias.At(0, c);
-    }
+    if (!RowActive(rows, r)) continue;
+    double* __restrict row = x->data() + r * cols;
+    for (size_t c = 0; c < cols; ++c) row[c] += b[c];
   }
 }
 
-void ReluInPlace(Matrix* x) {
-  for (double& v : x->values()) {
-    if (v < 0.0) v = 0.0;
-  }
-}
-
-void LeakyReluInPlace(Matrix* x, double negative_slope) {
-  for (double& v : x->values()) {
-    if (v < 0.0) v *= negative_slope;
+void ReluInPlace(Matrix* x, const std::vector<bool>* rows) {
+  const size_t cols = x->cols();
+  for (size_t r = 0; r < x->rows(); ++r) {
+    if (!RowActive(rows, r)) continue;
+    double* __restrict row = x->data() + r * cols;
+    // Branchless select: post-activation signs are data-dependent, so a
+    // branch here mispredicts about half the time.
+    for (size_t c = 0; c < cols; ++c) row[c] = row[c] < 0.0 ? 0.0 : row[c];
   }
 }
 
@@ -131,15 +153,16 @@ void MaskedRowSoftmaxInto(const Matrix& scores, const Matrix& mask,
 // --- Layer forwards -------------------------------------------------------
 //
 // Scratch-slot usage is local to each call: slots are reshaped on entry and
-// dead once the function returns, so layers can be chained freely. Every
-// row restriction propagates backwards only where sound: an intermediate
-// that later rows mix across (e.g. the pre-propagation activations) is
-// always computed in full.
+// dead once the function returns, so layers can be chained freely. Within
+// a layer, an intermediate that later rows mix across (e.g. GAT's h W) is
+// computed for every row; rows of `h` outside the layer's receptive field
+// hold unspecified values there, which the A+I-supported propagation never
+// reads.
 
 void Linear::ForwardInference(const Matrix& x, Matrix* out,
                               const std::vector<bool>* out_rows) const {
   MatMulInto(x, weight_.value(), out, out_rows);
-  AddRowBroadcastInPlace(out, bias_.value());
+  AddRowBroadcastInPlace(out, bias_.value(), out_rows);
 }
 
 void GcnConv::ForwardInference(const GraphTensors& g, const Matrix& h,
@@ -168,7 +191,7 @@ void SageConv::ForwardInference(const GraphTensors& g, const Matrix& h,
   Matrix* neigh = ws->Scratch(1, h.rows(), w_neigh_.cols());
   MatMulInto(*agg, w_neigh_.value(), neigh, out_rows);
   out->AddInPlace(*neigh);
-  AddRowBroadcastInPlace(out, bias_.value());
+  AddRowBroadcastInPlace(out, bias_.value(), out_rows);
 }
 
 void GatConv::ForwardInference(const GraphTensors& g, const Matrix& h,
@@ -202,7 +225,7 @@ void GatConv::ForwardInference(const GraphTensors& g, const Matrix& h,
   Matrix* attention = ws->Scratch(1, n, n);
   MaskedRowSoftmaxInto(*e, g.attention_mask, attention, out_rows);
   MatMulInto(*attention, *s, out, out_rows);
-  AddRowBroadcastInPlace(out, bias_.value());
+  AddRowBroadcastInPlace(out, bias_.value(), out_rows);
 }
 
 void GraphNNConv::ForwardInference(const GraphTensors& g, const Matrix& h,
@@ -215,7 +238,7 @@ void GraphNNConv::ForwardInference(const GraphTensors& g, const Matrix& h,
   Matrix* neigh = ws->Scratch(1, h.rows(), w_neigh_.cols());
   MatMulInto(*agg, w_neigh_.value(), neigh, out_rows);
   out->AddInPlace(*neigh);
-  AddRowBroadcastInPlace(out, bias_.value());
+  AddRowBroadcastInPlace(out, bias_.value(), out_rows);
 }
 
 void LEConv::ForwardInference(const GraphTensors& g, const Matrix& h,
@@ -235,7 +258,7 @@ void LEConv::ForwardInference(const GraphTensors& g, const Matrix& h,
   for (size_t i = 0; i < out->values().size(); ++i) {
     out->values()[i] -= part3->values()[i];
   }
-  AddRowBroadcastInPlace(out, bias_.value());
+  AddRowBroadcastInPlace(out, bias_.value(), out_rows);
 }
 
 }  // namespace nn

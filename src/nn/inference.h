@@ -52,6 +52,19 @@ class InferenceWorkspace {
   Matrix* log_probs(size_t rows) { return Shape(&log_probs_, rows, 1); }
   const Matrix& scores() const { return scores_; }
   const Matrix& log_probs() const { return log_probs_; }
+  /// Output-row masks of the GNN layers: `layers` masks of `rows` entries,
+  /// all false, returned as an array indexed by layer.
+  std::vector<bool>* row_masks(size_t layers, size_t rows) {
+    if (layers > row_masks_.size()) {
+      ++buffer_grows_;
+      row_masks_.resize(layers);
+    }
+    for (size_t l = 0; l < layers; ++l) {
+      if (rows > row_masks_[l].capacity()) ++buffer_grows_;
+      row_masks_[l].assign(rows, false);
+    }
+    return row_masks_.data();
+  }
   /// @}
 
   /// Cumulative number of buffer capacity growths. Constant across calls
@@ -72,6 +85,7 @@ class InferenceWorkspace {
   Matrix hidden_;
   Matrix scores_;
   Matrix log_probs_;
+  std::vector<std::vector<bool>> row_masks_;
   uint64_t buffer_grows_ = 0;
 };
 
@@ -83,29 +97,34 @@ class InferenceWorkspace {
 ///
 /// One serving-only shortcut the autograd path cannot take keeps the math
 /// smaller than training-grade code: `out_rows`. When non-null, only rows
-/// with out_rows[i] == true are computed; the rest are left zeroed and
-/// their values are unspecified. The policy forward uses this to evaluate
-/// the last GNN layer and the MLP head only on the action space —
-/// masked-out scores are never read, and on most ordering steps the action
-/// space is a small fraction of V(q).
+/// with out_rows[i] == true are computed; the rest hold unspecified values.
+/// The policy forward restricts every layer to its receptive field: the
+/// MLP head and the last GNN layer compute the action-space rows (nothing
+/// reads the other scores), and each earlier layer the closed neighbourhood
+/// of the rows the next layer computes, in the nonzero pattern of A+I
+/// (GraphTensors::attention_mask). That is exact, not an approximation:
+/// every backbone's propagation matrix is supported on A+I and MatMulInto
+/// skips zero coefficients, so a computed row reads only computed rows and
+/// sums the same terms in the same order as the full forward.
 /// @{
 
-/// out = a @ b with the autograd MatMul's loop structure (zero test on the
-/// lhs coefficient outside a branchless, vectorizable inner loop — it
-/// skips both non-edges of propagation matrices and post-ReLU zeros).
-/// `out` must already be shaped (a.rows, b.cols) and zeroed (Scratch/Shape
-/// do both).
+/// out = a @ b with the autograd MatMul's per-element operation sequence:
+/// out(i, j) += a(i, k) * b(k, j) for ascending k, skipping a(i, k) == 0
+/// (non-edges of propagation matrices and post-ReLU zeros). Register-
+/// blocked over 16 output columns, so each output element is loaded and
+/// stored once per row. `out` must already be shaped (a.rows, b.cols) and
+/// zeroed (Scratch/Shape do both).
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
                 const std::vector<bool>* out_rows = nullptr);
 
-/// x += bias broadcast over rows; bias is (1, x.cols).
-void AddRowBroadcastInPlace(Matrix* x, const Matrix& bias);
+/// x += bias broadcast over rows; bias is (1, x.cols). Rows outside `rows`
+/// (when non-null) are left untouched.
+void AddRowBroadcastInPlace(Matrix* x, const Matrix& bias,
+                            const std::vector<bool>* rows = nullptr);
 
-/// x = max(x, 0) elementwise.
-void ReluInPlace(Matrix* x);
-
-/// x = x >= 0 ? x : slope * x elementwise.
-void LeakyReluInPlace(Matrix* x, double negative_slope);
+/// x = max(x, 0) elementwise; rows outside `rows` (when non-null) are left
+/// untouched.
+void ReluInPlace(Matrix* x, const std::vector<bool>* rows = nullptr);
 
 /// Masked log-softmax over a column vector; same numerics as the autograd
 /// MaskedLogSoftmax forward (masked-out entries get kMaskedLogProb). `out`

@@ -56,10 +56,13 @@ class GraphLayer {
   /// Tape-free forward for serving: writes the layer output into *out
   /// (shaped (h.rows, out_features), zeroed), using `ws` scratch slots for
   /// intermediates. When `out_rows` is non-null only those output rows are
-  /// computed (the rest stay zeroed, values unspecified) — sound for the
-  /// network's last graph layer, whose other rows nothing reads. Computed
-  /// rows are numerically equal to the eval-mode Forward. All
-  /// implementations live in nn/inference.cc.
+  /// computed (the rest hold unspecified values). A computed row reads only
+  /// the rows of `h` in its closed neighbourhood under A+I (the nonzero
+  /// pattern of `g.attention_mask`, which supports every backbone's
+  /// propagation), so `h` need only be valid there: the policy forward
+  /// restricts each layer to the rows the next one reads. Computed rows are
+  /// bit-identical to the eval-mode Forward. All implementations live in
+  /// nn/inference.cc.
   virtual void ForwardInference(const GraphTensors& g, const Matrix& h,
                                 InferenceWorkspace* ws, Matrix* out,
                                 const std::vector<bool>* out_rows) const = 0;

@@ -52,27 +52,37 @@ PolicyNetwork::InferenceResult PolicyNetwork::ForwardInference(
   RLQVO_CHECK_EQ(features.rows(), action_mask.size());
   const size_t n = features.rows();
   const size_t hidden_dim = static_cast<size_t>(config_.hidden_dim);
+  // Receptive-field restriction (exact; see nn/inference.h). Only the
+  // action-space rows of the output are ever read, so the MLP head and the
+  // last graph layer compute just those rows, and each earlier layer the
+  // closed neighbourhood under A+I of the rows the next layer computes.
+  const size_t num_layers = gnn_layers_.size();
+  std::vector<bool>* rows = workspace->row_masks(num_layers, n);
+  rows[num_layers - 1] = action_mask;
+  for (size_t l = num_layers - 1; l-- > 0;) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!rows[l + 1][i]) continue;
+      for (size_t k = 0; k < n; ++k) {
+        if (tensors.attention_mask.At(i, k) != 0.0) rows[l][k] = true;
+      }
+    }
+  }
   // GNN stack: ping-pong between two activation buffers (a layer must not
-  // write into the matrix it reads). Only the action-space rows of the
-  // network's output are ever read (MaskedLogSoftmax ignores the rest), so
-  // the last graph layer and the MLP head compute just those rows — a
-  // serving-only cut the autograd forward cannot make.
+  // write into the matrix it reads).
   const nn::Matrix* h = &features;
   bool into_ping = true;
-  for (size_t l = 0; l < gnn_layers_.size(); ++l) {
+  for (size_t l = 0; l < num_layers; ++l) {
     nn::Matrix* next = into_ping ? workspace->ping(n, hidden_dim)
                                  : workspace->pong(n, hidden_dim);
-    const bool last = l + 1 == gnn_layers_.size();
-    gnn_layers_[l]->ForwardInference(tensors, *h, workspace, next,
-                                     last ? &action_mask : nullptr);
-    nn::ReluInPlace(next);
+    gnn_layers_[l]->ForwardInference(tensors, *h, workspace, next, &rows[l]);
+    nn::ReluInPlace(next, &rows[l]);
     h = next;
     into_ping = !into_ping;
   }
   // Eq. 4 head: scores = W2 σ(W1 h), then masked log-softmax.
   nn::Matrix* hidden = workspace->hidden(n, hidden_dim);
   mlp_hidden_->ForwardInference(*h, hidden, &action_mask);
-  nn::ReluInPlace(hidden);
+  nn::ReluInPlace(hidden, &action_mask);
   nn::Matrix* scores = workspace->scores(n);
   mlp_out_->ForwardInference(*hidden, scores, &action_mask);
   nn::Matrix* log_probs = workspace->log_probs(n);

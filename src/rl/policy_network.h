@@ -64,11 +64,15 @@ class PolicyNetwork {
     const nn::Matrix* raw_scores = nullptr;
   };
 
-  /// Tape-free serving forward: masked scores/log-probs numerically equal
-  /// to the eval-mode (training=false) Forward, but with no Var tape, no
+  /// Tape-free serving forward: masked scores/log-probs bit-identical to
+  /// the eval-mode (training=false) Forward, but with no Var tape, no
   /// allocation once `workspace` buffers reach their high-water mark, and
-  /// the last graph layer + MLP head evaluated only on the action-space
-  /// rows. Dropout is off by construction (it only applies when training).
+  /// every layer evaluated only on its receptive field: the MLP head and
+  /// the last graph layer on the action-space rows, each earlier layer on
+  /// the closed neighbourhood (A+I) of the rows the next layer computes.
+  /// Exact because every backbone propagates over A+I and the matmul
+  /// kernel skips zero coefficients, so no computed row reads a skipped
+  /// one. Dropout is off by construction (it only applies when training).
   InferenceResult ForwardInference(nn::InferenceWorkspace* workspace,
                                    const nn::GraphTensors& tensors,
                                    const nn::Matrix& features,

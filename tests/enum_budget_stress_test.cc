@@ -55,6 +55,33 @@ TEST(EnumBudgetStressTest, ContendedClaimsMatchLimitExactly) {
   }
 }
 
+// The claim that takes the last slot must itself raise the stop broadcast:
+// workers in match-free subtrees never attempt (and so never fail) a claim,
+// and would otherwise search on until the deadline. No claim fails here.
+TEST(EnumBudgetStressTest, LastSuccessfulClaimRaisesStop) {
+  const Deadline deadline = Deadline::Unlimited();
+  for (const uint64_t limit : {1u, 2u, 9u}) {
+    EnumBudget budget(limit, &deadline);
+    for (uint64_t i = 0; i < limit; ++i) {
+      EXPECT_FALSE(budget.StopRequested()) << "limit=" << limit;
+      EXPECT_TRUE(budget.TryClaimMatch());
+    }
+    EXPECT_TRUE(budget.LimitReached());
+    EXPECT_TRUE(budget.StopRequested()) << "limit=" << limit;
+  }
+  // Contended: kThreads threads each take exactly their share of the slots.
+  constexpr uint64_t kPerThread = 500;
+  EnumBudget budget(kThreads * kPerThread, &deadline);
+  std::atomic<uint64_t> granted{0};
+  RunThreads(kThreads, [&](int) {
+    for (uint64_t i = 0; i < kPerThread; ++i) {
+      if (budget.TryClaimMatch()) granted.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(granted.load(), kThreads * kPerThread);
+  EXPECT_TRUE(budget.StopRequested());
+}
+
 // match_limit == 0 is the paper's "ALL" setting: claims always succeed and
 // never touch the atomic, so no amount of claiming may trip the limit or
 // the stop flag.

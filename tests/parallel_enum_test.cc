@@ -336,6 +336,75 @@ TEST(ParallelEnumTest, ExactLimitCountsSerialAndParallel) {
   }
 }
 
+// The claim that reaches a finite limit must stop every worker, not only
+// its own. Every match lies under one root candidate; the other roots head
+// huge match-free subtrees (paths through a 30-clique that never close on
+// a C vertex) which take seconds to exhaust. Their workers never attempt a
+// claim, so only the stop broadcast from the limit-reaching claim ends them
+// — well inside a deadline they would otherwise run into.
+TEST(ParallelEnumTest, LimitReachedStopsWorkersInMatchFreeSubtrees) {
+  constexpr Label kA = 0, kB = 1, kC = 2;
+  // Query: path u0(A) - u1..u6(B) - u7(C), enumerated along the path.
+  GraphBuilder qb;
+  qb.AddVertex(kA);
+  for (int i = 0; i < 6; ++i) qb.AddVertex(kB);
+  qb.AddVertex(kC);
+  for (VertexId u = 0; u + 1 < 8; ++u) qb.AddEdge(u, u + 1);
+  PreparedQuery pq{qb.Build(), CandidateSet(), {0, 1, 2, 3, 4, 5, 6, 7}};
+
+  GraphBuilder db;
+  auto clique = [&](int size) {
+    std::vector<VertexId> members;
+    for (int i = 0; i < size; ++i) members.push_back(db.AddVertex(kB));
+    for (size_t i = 0; i < members.size(); ++i) {
+      for (size_t j = i + 1; j < members.size(); ++j) {
+        db.AddEdge(members[i], members[j]);
+      }
+    }
+    return members;
+  };
+  // Root a0 (candidate index 0): a 7-clique whose vertices all touch c0 —
+  // 7! = 5040 matches.
+  const VertexId a0 = db.AddVertex(kA);
+  const std::vector<VertexId> small = clique(7);
+  const VertexId c0 = db.AddVertex(kC);
+  for (VertexId b : small) {
+    db.AddEdge(a0, b);
+    db.AddEdge(b, c0);
+  }
+  // Roots a1..a3: a 30-clique with no C neighbour — no match at all.
+  const std::vector<VertexId> big = clique(30);
+  for (int r = 0; r < 3; ++r) {
+    const VertexId a = db.AddVertex(kA);
+    for (VertexId b : big) db.AddEdge(a, b);
+  }
+  const Graph data = db.Build();
+  pq.candidates = LDFFilter().Filter(pq.query, data).ValueOrDie();
+  ASSERT_EQ(pq.candidates.candidates(0).size(), 4u);
+  ASSERT_EQ(pq.candidates.candidates(0)[0], a0);
+
+  EnumerateOptions opts;
+  opts.match_limit = 100;
+  opts.store_embeddings = true;
+  opts.time_limit_seconds = 2.0;
+  ThreadPool pool(4);
+  std::vector<EnumeratorWorkspace> workspaces(pool.size());
+  EnumeratorWorkspace caller_ws;
+  const EnumerateResult parallel =
+      RunParallelWith(data, pq, opts, 4, &pool, &workspaces, &caller_ws);
+  EXPECT_TRUE(parallel.hit_match_limit);
+  EXPECT_FALSE(parallel.timed_out);
+  EXPECT_EQ(parallel.num_matches, opts.match_limit);
+  EXPECT_EQ(parallel.embeddings.size(), opts.match_limit);
+  std::set<std::vector<VertexId>> distinct(parallel.embeddings.begin(),
+                                           parallel.embeddings.end());
+  EXPECT_EQ(distinct.size(), opts.match_limit);
+  for (const auto& embedding : parallel.embeddings) {
+    EXPECT_EQ(embedding[0], a0);
+    EXPECT_TRUE(IsIsomorphism(pq.query, data, embedding));
+  }
+}
+
 TEST(ParallelEnumTest, UnlimitedMeansZeroAndNeverReportsLimit) {
   Graph data = MakeData(5, 70, 5.0, 2, 0.0);
   PreparedQuery pq = PrepareQuery(data, 15, 4);
